@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._gather import gather_neighbors
+from repro.kernels.dispatch import gather_neighbors
 from repro.algorithms.base import (
     Algorithm,
     SuperstepProgram,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._gather import gather_with_sources
+from repro.kernels.dispatch import gather_with_sources
 from repro.algorithms.base import (
     Algorithm,
     SuperstepProgram,

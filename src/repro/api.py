@@ -20,10 +20,18 @@ This module is that contract:
 * :class:`JobStatus` — the lifecycle view of a submitted request
   (``queued -> running -> done | failed``).
 * :class:`ApiService` — the in-process reference implementation of the
-  ``submit()/result()`` surface.  The HTTP server in
-  :mod:`repro.serve` implements the *same* contract asynchronously;
-  the CLI subcommands and the server are both thin clients of the
-  types defined here.
+  ``submit()/result()`` surface, and the one job table.  The HTTP
+  server in :mod:`repro.serve` keeps its jobs in an ``ApiService`` and
+  runs background sweeps through :meth:`ApiService.sweep`;
+  ``graphbench run`` builds its cell from a :class:`PredictRequest`.
+
+Each wire type is written once: every dataclass field declares its
+JSON Schema fragment (type, ``enum``, ``minimum``/``exclusiveMinimum``,
+``minItems``, nullability) in field metadata, and defaults are the
+dataclass defaults.  One codec derives ``to_dict``/``from_dict``/
+``to_json``/``from_json``/``json_schema`` from that table, and
+``__post_init__`` validates with draft 2020-12 semantics, so direct
+construction and wire decoding enforce the same rules.
 
 Stability rules (``API_VERSION`` = 1):
 
@@ -32,16 +40,20 @@ Stability rules (``API_VERSION`` = 1):
 * ``to_json()``/``from_json()`` round-trip **bit-identically** (the
   canonical encoding is ``sort_keys=True`` with compact separators) —
   property-tested in ``tests/test_api.py``;
-* the JSON Schemas returned by each type's :meth:`json_schema` are
+* the JSON Schemas returned by each type's ``json_schema()`` are
   golden-filed under ``tests/goldens/api_v1/``; an accidental contract
   change fails the suite.
 """
 
 from __future__ import annotations
 
+import collections
+import copy
 import dataclasses
 import itertools
 import json
+import numbers
+import threading
 import typing as _t
 
 from repro.cluster.spec import das4_cluster
@@ -65,11 +77,6 @@ __all__ = [
 #: the frozen contract version stamped on every payload
 API_VERSION = 1
 
-#: JSON types admissible as program-parameter values (the wire format
-#: cannot carry arbitrary Python objects, and the spec layer's repr()
-#: normalization would not round-trip them)
-_SCALAR = (bool, int, float, str)
-
 
 def canonical_json(payload: dict) -> str:
     """The canonical wire encoding: sorted keys, compact separators.
@@ -87,32 +94,282 @@ class ApiError(ValueError):
     field, unsupported parameter value)."""
 
 
-def _check_params(params: tuple[tuple[str, object], ...]) -> None:
-    for key, value in params:
-        if not isinstance(value, _SCALAR):
+# -- the codec ----------------------------------------------------------------
+
+#: JSON types admissible as program-parameter values (the wire format
+#: cannot carry arbitrary Python objects)
+_SCALARS = ["boolean", "integer", "number", "string"]
+
+
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
+#: draft 2020-12 type tests: ``20.0`` is an integer, ``true`` is not
+_IS_TYPE: dict[str, _t.Callable[[object], bool]] = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict)
+    and all(isinstance(k, str) for k in v),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v)
+    and (isinstance(v, numbers.Integral) or float(v).is_integer()),
+}
+
+
+def _base_type(schema: dict) -> str | None:
+    """The one non-null JSON type a fragment admits, if it admits one."""
+    types = schema.get("type")
+    if isinstance(types, str):
+        return types
+    rest = [t for t in types or () if t != "null"]
+    return rest[0] if len(rest) == 1 else None
+
+
+def _violation(value: object, schema: dict) -> str | None:
+    """Why ``value`` breaks the schema fragment, or ``None`` — the
+    subset of draft 2020-12 the v1 contract uses.  The reason starts
+    with the offending element's path inside ``value`` (empty at the
+    top, ``[2]`` or ``['key']`` below), so a caller prefixes a name."""
+    types = schema.get("type")
+    if types is not None:
+        names = [types] if isinstance(types, str) else types
+        for name in names:
+            if _IS_TYPE[name](value):
+                break
+        else:
+            if names == _SCALARS:
+                return (
+                    f": non-JSON-scalar value {value!r}; the v1 wire "
+                    f"format admits bool/int/float/str only"
+                )
+            return f": expected {' or '.join(names)}, got {value!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f": {value!r} is not one of {', '.join(schema['enum'])}"
+    bound = schema.get("minimum")
+    if bound is not None and _is_number(value) and not value >= bound:
+        return f": must be >= {bound}, got {value!r}"
+    bound = schema.get("exclusiveMinimum")
+    if bound is not None and _is_number(value) and not value > bound:
+        return f": must be > {bound}, got {value!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f": needs at least {schema['minItems']} item(s)"
+        items = schema.get("items")
+        for index, item in enumerate(value if items else ()):
+            problem = _violation(item, items)
+            if problem:
+                return f"[{index}]{problem}"
+    entries = schema.get("additionalProperties")
+    if isinstance(value, dict) and isinstance(entries, dict):
+        for key, item in value.items():
+            problem = _violation(item, entries)
+            if problem:
+                return f"[{key!r}]{problem}"
+    return None
+
+
+def _to_wire(value: object, schema: dict) -> object:
+    """The JSON form of a field value: tuples become arrays, and
+    (key, value) tuples become objects."""
+    if isinstance(value, tuple):
+        kind = _base_type(schema)
+        if kind == "array":
+            return list(value)
+        if kind == "object":
+            try:
+                return dict(value)
+            except (TypeError, ValueError):
+                return value  # not pairs: the type check reports it
+    return value
+
+
+def _freeze(value: object, schema: dict) -> object:
+    """The stored form of a valid JSON value: integers as ``int``,
+    numbers as ``float``, arrays as tuples, and maps (objects with
+    typed values) as sorted (key, value) tuples, so every wire type is
+    hashable and compares by content."""
+    if value is None:
+        return None
+    kind = _base_type(schema)
+    if kind == "integer":
+        return int(value)
+    if kind == "number":
+        return float(value)
+    if kind == "array":
+        return tuple(_freeze(v, schema["items"]) for v in value)
+    entries = schema.get("additionalProperties")
+    if kind == "object" and isinstance(entries, dict):
+        return tuple(
+            sorted((k, _freeze(v, entries)) for k, v in value.items())
+        )
+    return value
+
+
+def _field(schema: dict, default: object = dataclasses.MISSING, *,
+           norm: _t.Callable | None = None,
+           error: str | None = None) -> _t.Any:
+    """A wire field: its JSON Schema fragment, its default, an optional
+    normalization of the stored value, and an optional error template
+    (``{name}`` and ``{violation}`` are filled in)."""
+    return dataclasses.field(
+        default=default,
+        metadata={"schema": schema, "norm": norm, "error": error},
+    )
+
+
+def _post_init(self) -> None:
+    """Validate every field against its schema, then store the frozen
+    form — the same rules for direct construction and wire decoding."""
+    for name, schema, norm, error in self._wire_fields:
+        value = _to_wire(getattr(self, name), schema)
+        problem = _violation(value, schema)
+        if problem:
+            problem = name + problem
             raise ApiError(
-                f"param {key!r} has non-JSON-scalar value {value!r}; "
-                f"the v1 wire format admits bool/int/float/str only"
+                error.format(name=name, violation=problem)
+                if error
+                else f"bad {type(self).__name__} field {problem}"
             )
+        value = _freeze(value, schema)
+        if norm is not None:
+            value = norm(value)
+        object.__setattr__(self, name, value)
 
 
-def _normalize_params(
-    params: _t.Mapping[str, object] | _t.Iterable[tuple[str, object]] | None,
-) -> tuple[tuple[str, object], ...]:
-    if params is None:
-        return ()
-    items = params.items() if isinstance(params, _t.Mapping) else params
-    return tuple(sorted((str(k), v) for k, v in items))
+def _to_dict(self) -> dict:
+    """The v1 wire payload as a JSON-ready dict."""
+    out: dict[str, _t.Any] = {"api_version": API_VERSION}
+    for name, schema, _, _ in self._wire_fields:
+        out[name] = _to_wire(getattr(self, name), schema)
+    return out
 
 
-def _require(payload: dict, field: str, cls: str) -> object:
+def _to_json(self) -> str:
+    """The canonical JSON encoding of :meth:`to_dict`."""
+    return canonical_json(self.to_dict())
+
+
+def _from_dict(cls, payload: object):
+    """Decode a v1 payload dict; raises :class:`ApiError` on any
+    contract violation."""
+    name = cls.__name__
+    if not isinstance(payload, dict):
+        raise ApiError(
+            f"{name} payload must be an object, got {type(payload).__name__}"
+        )
+    version = payload.get("api_version", dataclasses.MISSING)
+    if version is dataclasses.MISSING:
+        if "api_version" in cls._required:
+            raise ApiError(f"{name} payload is missing field 'api_version'")
+    elif isinstance(version, bool) or version != API_VERSION:
+        raise ApiError(
+            f"unsupported api_version {version!r}; this build speaks "
+            f"version {API_VERSION}"
+        )
+    kwargs = {}
+    for field, _, _, _ in cls._wire_fields:
+        if field in payload:
+            kwargs[field] = payload[field]
+        elif field in cls._required:
+            raise ApiError(f"{name} payload is missing field {field!r}")
+    return cls(**kwargs)
+
+
+def _from_json(cls, text: str | bytes):
+    """Decode a v1 JSON body; raises :class:`ApiError` on any contract
+    violation, malformed JSON included."""
     try:
-        return payload[field]
-    except KeyError:
-        raise ApiError(f"{cls} payload is missing field {field!r}") from None
+        payload = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or undecodable bytes
+        raise ApiError(
+            f"{cls.__name__} body is not valid JSON: {exc}"
+        ) from None
+    return cls.from_dict(payload)
 
 
-@dataclasses.dataclass(frozen=True)
+def _json_schema(cls) -> dict:
+    """The v1 JSON Schema of this type (golden-filed)."""
+    properties: dict[str, _t.Any] = {"api_version": {"const": API_VERSION}}
+    for f in dataclasses.fields(cls):
+        fragment = copy.deepcopy(f.metadata["schema"])
+        if cls._publish_defaults and f.default is not dataclasses.MISSING:
+            fragment["default"] = _to_wire(f.default, fragment)
+        properties[f.name] = fragment
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "title": cls.__name__,
+        "description": cls._description,
+        "type": "object",
+        "required": list(cls._required),
+        "additionalProperties": False,
+        "properties": properties,
+    }
+
+
+def _wire_type(description: str, *, response: bool = False):
+    """Class decorator: a frozen dataclass whose fields are its v1 wire
+    contract.
+
+    A request may omit ``api_version`` and every defaulted field, so
+    its schema publishes the defaults; a ``response`` always carries
+    every field, so it requires ``api_version`` and publishes none.
+    The codec is installed into each class's own namespace (not
+    inherited), so per-class wrappers — perfbench's ledger — can
+    replace one type's ``from_json`` or ``to_dict`` alone.
+    """
+
+    def install(cls):
+        cls.__post_init__ = _post_init
+        cls = dataclasses.dataclass(frozen=True)(cls)
+        cls._wire_fields = tuple(
+            (f.name, f.metadata["schema"], f.metadata["norm"],
+             f.metadata["error"])
+            for f in dataclasses.fields(cls)
+        )
+        cls._description = description
+        cls._publish_defaults = not response
+        cls._required = (("api_version",) if response else ()) + tuple(
+            f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING
+        )
+        cls.to_dict = _to_dict
+        cls.to_json = _to_json
+        cls.from_dict = classmethod(_from_dict)
+        cls.from_json = classmethod(_from_json)
+        cls.json_schema = classmethod(_json_schema)
+        return cls
+
+    return install
+
+
+# -- the wire types -----------------------------------------------------------
+
+_NAME = {"type": "string"}
+_COUNT = {"type": "integer", "minimum": 1}
+_SCALE = {"type": "number", "exclusiveMinimum": 0}
+_NAMES = {"type": "array", "items": {"type": "string"}, "minItems": 1}
+_PARAMS = {"type": "object", "additionalProperties": {"type": _SCALARS}}
+_OPT_NUMBER = {"type": ["number", "null"]}
+_OPT_INTEGER = {"type": ["integer", "null"]}
+_OPT_STRING = {"type": ["string", "null"]}
+
+
+def _lower_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(name.lower() for name in names)
+
+
+_AXIS_ERROR = "{name} must be a non-empty list of names ({violation})"
+
+
+@_wire_type(
+    "One what-if prediction cell: which platform/cluster for this "
+    "workload, at what cost?"
+)
 class PredictRequest:
     """One what-if question: a single (platform, algorithm, dataset)
     cell on a modeled cluster.
@@ -122,26 +379,14 @@ class PredictRequest:
     round-trips the wire bit-identically.
     """
 
-    platform: str
-    algorithm: str
-    dataset: str
-    scale: float = 1.0
-    num_workers: int = 20
-    cores_per_worker: int = 1
-    repetitions: int = 1
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "platform", str(self.platform).lower())
-        object.__setattr__(self, "algorithm", str(self.algorithm).lower())
-        object.__setattr__(self, "dataset", str(self.dataset).lower())
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "params", _normalize_params(self.params))
-        _check_params(self.params)
-        if self.num_workers < 1 or self.cores_per_worker < 1:
-            raise ApiError("num_workers and cores_per_worker must be >= 1")
-        if self.repetitions < 1:
-            raise ApiError("repetitions must be >= 1")
+    platform: str = _field(_NAME, norm=str.lower)
+    algorithm: str = _field(_NAME, norm=str.lower)
+    dataset: str = _field(_NAME, norm=str.lower)
+    scale: float = _field(_SCALE, 1.0)
+    num_workers: int = _field(_COUNT, 20)
+    cores_per_worker: int = _field(_COUNT, 1)
+    repetitions: int = _field(_COUNT, 1)
+    params: tuple[tuple[str, object], ...] = _field(_PARAMS, ())
 
     # -- conversions -------------------------------------------------------
     def to_run_spec(self) -> RunSpec:
@@ -158,134 +403,31 @@ class PredictRequest:
         """Content identity (coalescing and the answer cache key); the
         scale participates because the same named dataset at two scales
         is two different workloads."""
-        return (float(self.scale), int(self.repetitions),
-                self.to_run_spec().cell_key())
-
-    def to_dict(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "platform": self.platform,
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "scale": self.scale,
-            "num_workers": self.num_workers,
-            "cores_per_worker": self.cores_per_worker,
-            "repetitions": self.repetitions,
-            "params": {k: v for k, v in self.params},
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PredictRequest":
-        if not isinstance(payload, dict):
-            raise ApiError(
-                f"PredictRequest payload must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        version = payload.get("api_version", API_VERSION)
-        if version != API_VERSION:
-            raise ApiError(
-                f"unsupported api_version {version!r}; this build speaks "
-                f"version {API_VERSION}"
-            )
-        params = payload.get("params") or {}
-        if not isinstance(params, dict):
-            raise ApiError("params must be an object of scalar values")
-        try:
-            return cls(
-                platform=str(_require(payload, "platform", "PredictRequest")),
-                algorithm=str(
-                    _require(payload, "algorithm", "PredictRequest")
-                ),
-                dataset=str(_require(payload, "dataset", "PredictRequest")),
-                scale=float(payload.get("scale", 1.0)),
-                num_workers=int(payload.get("num_workers", 20)),
-                cores_per_worker=int(payload.get("cores_per_worker", 1)),
-                repetitions=int(payload.get("repetitions", 1)),
-                params=params,
-            )
-        except ApiError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ApiError(f"bad PredictRequest field: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "PredictRequest":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ApiError(f"request body is not valid JSON: {exc}") from None
-        return cls.from_dict(payload)
-
-    @classmethod
-    def json_schema(cls) -> dict:
-        """The v1 JSON Schema for this request (golden-filed)."""
-        return {
-            "$schema": "https://json-schema.org/draft/2020-12/schema",
-            "title": "PredictRequest",
-            "description": "One what-if prediction cell: which "
-            "platform/cluster for this workload, at what cost?",
-            "type": "object",
-            "required": ["platform", "algorithm", "dataset"],
-            "additionalProperties": False,
-            "properties": {
-                "api_version": {"const": API_VERSION},
-                "platform": {"type": "string"},
-                "algorithm": {"type": "string"},
-                "dataset": {"type": "string"},
-                "scale": {"type": "number", "exclusiveMinimum": 0,
-                          "default": 1.0},
-                "num_workers": {"type": "integer", "minimum": 1,
-                                "default": 20},
-                "cores_per_worker": {"type": "integer", "minimum": 1,
-                                     "default": 1},
-                "repetitions": {"type": "integer", "minimum": 1,
-                                "default": 1},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": ["boolean", "integer", "number", "string"]
-                    },
-                    "default": {},
-                },
-            },
-        }
+        return (self.scale, self.repetitions, self.to_run_spec().cell_key())
 
 
-@dataclasses.dataclass(frozen=True)
+@_wire_type("A named cartesian grid of prediction cells.")
 class SweepRequest:
     """A named cartesian grid of prediction cells (the ``/v1/sweep``
     payload); ``workers`` is the executor's process count, while
     ``num_workers``/``cores_per_worker`` describe the *modeled*
     cluster, exactly as in the CLI vocabulary."""
 
-    platforms: tuple[str, ...]
-    algorithms: tuple[str, ...]
-    datasets: tuple[str, ...]
-    name: str = "api-sweep"
-    scale: float = 1.0
-    num_workers: int = 20
-    cores_per_worker: int = 1
-    workers: int = 1
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        for axis in ("platforms", "algorithms", "datasets"):
-            values = getattr(self, axis)
-            if isinstance(values, str) or not values:
-                raise ApiError(f"{axis} must be a non-empty list of names")
-            object.__setattr__(
-                self, axis, tuple(str(v).lower() for v in values)
-            )
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "params", _normalize_params(self.params))
-        _check_params(self.params)
-        if self.workers < 1:
-            raise ApiError("workers must be >= 1")
-        if self.num_workers < 1 or self.cores_per_worker < 1:
-            raise ApiError("num_workers and cores_per_worker must be >= 1")
+    platforms: tuple[str, ...] = _field(
+        _NAMES, norm=_lower_names, error=_AXIS_ERROR
+    )
+    algorithms: tuple[str, ...] = _field(
+        _NAMES, norm=_lower_names, error=_AXIS_ERROR
+    )
+    datasets: tuple[str, ...] = _field(
+        _NAMES, norm=_lower_names, error=_AXIS_ERROR
+    )
+    name: str = _field(_NAME, "api-sweep")
+    scale: float = _field(_SCALE, 1.0)
+    num_workers: int = _field(_COUNT, 20)
+    cores_per_worker: int = _field(_COUNT, 1)
+    workers: int = _field(_COUNT, 1)
+    params: tuple[tuple[str, object], ...] = _field(_PARAMS, ())
 
     # -- conversions -------------------------------------------------------
     def to_sweep_spec(self) -> SweepSpec:
@@ -314,106 +456,12 @@ class SweepRequest:
             )
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "name": self.name,
-            "platforms": list(self.platforms),
-            "algorithms": list(self.algorithms),
-            "datasets": list(self.datasets),
-            "scale": self.scale,
-            "num_workers": self.num_workers,
-            "cores_per_worker": self.cores_per_worker,
-            "workers": self.workers,
-            "params": {k: v for k, v in self.params},
-        }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SweepRequest":
-        if not isinstance(payload, dict):
-            raise ApiError(
-                f"SweepRequest payload must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        version = payload.get("api_version", API_VERSION)
-        if version != API_VERSION:
-            raise ApiError(
-                f"unsupported api_version {version!r}; this build speaks "
-                f"version {API_VERSION}"
-            )
-        params = payload.get("params") or {}
-        if not isinstance(params, dict):
-            raise ApiError("params must be an object of scalar values")
-        try:
-            return cls(
-                platforms=tuple(
-                    _require(payload, "platforms", "SweepRequest")
-                ),
-                algorithms=tuple(
-                    _require(payload, "algorithms", "SweepRequest")
-                ),
-                datasets=tuple(
-                    _require(payload, "datasets", "SweepRequest")
-                ),
-                name=str(payload.get("name", "api-sweep")),
-                scale=float(payload.get("scale", 1.0)),
-                num_workers=int(payload.get("num_workers", 20)),
-                cores_per_worker=int(payload.get("cores_per_worker", 1)),
-                workers=int(payload.get("workers", 1)),
-                params=params,
-            )
-        except ApiError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ApiError(f"bad SweepRequest field: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "SweepRequest":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ApiError(f"request body is not valid JSON: {exc}") from None
-        return cls.from_dict(payload)
-
-    @classmethod
-    def json_schema(cls) -> dict:
-        """The v1 JSON Schema for this request (golden-filed)."""
-        names = {"type": "array", "items": {"type": "string"}, "minItems": 1}
-        return {
-            "$schema": "https://json-schema.org/draft/2020-12/schema",
-            "title": "SweepRequest",
-            "description": "A named cartesian grid of prediction cells.",
-            "type": "object",
-            "required": ["platforms", "algorithms", "datasets"],
-            "additionalProperties": False,
-            "properties": {
-                "api_version": {"const": API_VERSION},
-                "name": {"type": "string", "default": "api-sweep"},
-                "platforms": names,
-                "algorithms": names,
-                "datasets": names,
-                "scale": {"type": "number", "exclusiveMinimum": 0,
-                          "default": 1.0},
-                "num_workers": {"type": "integer", "minimum": 1,
-                                "default": 20},
-                "cores_per_worker": {"type": "integer", "minimum": 1,
-                                     "default": 1},
-                "workers": {"type": "integer", "minimum": 1, "default": 1},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": ["boolean", "integer", "number", "string"]
-                    },
-                    "default": {},
-                },
-            },
-        }
-
-
-@dataclasses.dataclass(frozen=True)
+@_wire_type(
+    "Full-disclosure answer for one prediction cell; crashed/DNF cells "
+    "carry null timings and a failure_reason.",
+    response=True,
+)
 class PredictResponse:
     """The full-disclosure answer for one cell.
 
@@ -423,31 +471,25 @@ class PredictResponse:
     is an answer too (the paper's Figure 1 annotations).
     """
 
-    platform: str
-    algorithm: str
-    dataset: str
-    status: str
-    execution_time: float | None = None
-    computation_time: float | None = None
-    overhead_time: float | None = None
-    supersteps: int | None = None
-    breakdown: tuple[tuple[str, float], ...] = ()
-    num_vertices: int | None = None
-    num_edges: int | None = None
-    eps: float | None = None
-    vps: float | None = None
-    repetition_times: tuple[float, ...] = ()
-    failure_reason: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "breakdown",
-            tuple(sorted((str(k), float(v)) for k, v in self.breakdown)),
-        )
-        object.__setattr__(
-            self, "repetition_times", tuple(float(t) for t in self.repetition_times)
-        )
+    platform: str = _field(_NAME)
+    algorithm: str = _field(_NAME)
+    dataset: str = _field(_NAME)
+    status: str = _field({"enum": ["ok", "crashed", "dnf"]})
+    execution_time: float | None = _field(_OPT_NUMBER, None)
+    computation_time: float | None = _field(_OPT_NUMBER, None)
+    overhead_time: float | None = _field(_OPT_NUMBER, None)
+    supersteps: int | None = _field(_OPT_INTEGER, None)
+    breakdown: tuple[tuple[str, float], ...] = _field(
+        {"type": "object", "additionalProperties": {"type": "number"}}, ()
+    )
+    num_vertices: int | None = _field(_OPT_INTEGER, None)
+    num_edges: int | None = _field(_OPT_INTEGER, None)
+    eps: float | None = _field(_OPT_NUMBER, None)
+    vps: float | None = _field(_OPT_NUMBER, None)
+    repetition_times: tuple[float, ...] = _field(
+        {"type": "array", "items": {"type": "number"}}, ()
+    )
+    failure_reason: str | None = _field(_OPT_STRING, None)
 
     @classmethod
     def from_record(cls, record: "RunRecord") -> "PredictResponse":
@@ -483,109 +525,12 @@ class PredictResponse:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def to_dict(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "platform": self.platform,
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "status": self.status,
-            "execution_time": self.execution_time,
-            "computation_time": self.computation_time,
-            "overhead_time": self.overhead_time,
-            "supersteps": self.supersteps,
-            "breakdown": {k: v for k, v in self.breakdown},
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "eps": self.eps,
-            "vps": self.vps,
-            "repetition_times": list(self.repetition_times),
-            "failure_reason": self.failure_reason,
-        }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PredictResponse":
-        version = payload.get("api_version", API_VERSION)
-        if version != API_VERSION:
-            raise ApiError(
-                f"unsupported api_version {version!r}; this build speaks "
-                f"version {API_VERSION}"
-            )
-        return cls(
-            platform=str(_require(payload, "platform", "PredictResponse")),
-            algorithm=str(_require(payload, "algorithm", "PredictResponse")),
-            dataset=str(_require(payload, "dataset", "PredictResponse")),
-            status=str(_require(payload, "status", "PredictResponse")),
-            execution_time=payload.get("execution_time"),
-            computation_time=payload.get("computation_time"),
-            overhead_time=payload.get("overhead_time"),
-            supersteps=payload.get("supersteps"),
-            breakdown=tuple((payload.get("breakdown") or {}).items()),
-            num_vertices=payload.get("num_vertices"),
-            num_edges=payload.get("num_edges"),
-            eps=payload.get("eps"),
-            vps=payload.get("vps"),
-            repetition_times=tuple(payload.get("repetition_times") or ()),
-            failure_reason=payload.get("failure_reason"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "PredictResponse":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ApiError(f"response body is not valid JSON: {exc}") from None
-        return cls.from_dict(payload)
-
-    @classmethod
-    def json_schema(cls) -> dict:
-        """The v1 JSON Schema for this response (golden-filed)."""
-        opt_number = {"type": ["number", "null"]}
-        opt_integer = {"type": ["integer", "null"]}
-        return {
-            "$schema": "https://json-schema.org/draft/2020-12/schema",
-            "title": "PredictResponse",
-            "description": "Full-disclosure answer for one prediction "
-            "cell; crashed/DNF cells carry null timings and a "
-            "failure_reason.",
-            "type": "object",
-            "required": ["api_version", "platform", "algorithm", "dataset",
-                         "status"],
-            "additionalProperties": False,
-            "properties": {
-                "api_version": {"const": API_VERSION},
-                "platform": {"type": "string"},
-                "algorithm": {"type": "string"},
-                "dataset": {"type": "string"},
-                "status": {"enum": ["ok", "crashed", "dnf"]},
-                "execution_time": opt_number,
-                "computation_time": opt_number,
-                "overhead_time": opt_number,
-                "supersteps": opt_integer,
-                "breakdown": {
-                    "type": "object",
-                    "additionalProperties": {"type": "number"},
-                },
-                "num_vertices": opt_integer,
-                "num_edges": opt_integer,
-                "eps": opt_number,
-                "vps": opt_number,
-                "repetition_times": {
-                    "type": "array", "items": {"type": "number"},
-                },
-                "failure_reason": {"type": ["string", "null"]},
-            },
-        }
+#: job states the bounded job table may evict
+_FINISHED = ("done", "failed")
 
 
-#: the closed job-state vocabulary
-JOB_STATES = ("queued", "running", "done", "failed")
-
-
-@dataclasses.dataclass(frozen=True)
+@_wire_type("Lifecycle view of one submitted request.", response=True)
 class JobStatus:
     """The lifecycle view of one submitted request.
 
@@ -594,75 +539,14 @@ class JobStatus:
     for sweep jobs; ``error`` explains a ``failed`` state.
     """
 
-    job_id: str
-    kind: str  # "predict" | "sweep"
-    state: str
-    result: dict | None = None
-    error: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.state not in JOB_STATES:
-            raise ApiError(
-                f"unknown job state {self.state!r}; choose from "
-                f"{', '.join(JOB_STATES)}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "state": self.state,
-            "result": self.result,
-            "error": self.error,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JobStatus":
-        version = payload.get("api_version", API_VERSION)
-        if version != API_VERSION:
-            raise ApiError(
-                f"unsupported api_version {version!r}; this build speaks "
-                f"version {API_VERSION}"
-            )
-        return cls(
-            job_id=str(_require(payload, "job_id", "JobStatus")),
-            kind=str(_require(payload, "kind", "JobStatus")),
-            state=str(_require(payload, "state", "JobStatus")),
-            result=payload.get("result"),
-            error=payload.get("error"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "JobStatus":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ApiError(f"status body is not valid JSON: {exc}") from None
-        return cls.from_dict(payload)
-
-    @classmethod
-    def json_schema(cls) -> dict:
-        """The v1 JSON Schema for a job status (golden-filed)."""
-        return {
-            "$schema": "https://json-schema.org/draft/2020-12/schema",
-            "title": "JobStatus",
-            "description": "Lifecycle view of one submitted request.",
-            "type": "object",
-            "required": ["api_version", "job_id", "kind", "state"],
-            "additionalProperties": False,
-            "properties": {
-                "api_version": {"const": API_VERSION},
-                "job_id": {"type": "string"},
-                "kind": {"enum": ["predict", "sweep"]},
-                "state": {"enum": list(JOB_STATES)},
-                "result": {"type": ["object", "null"]},
-                "error": {"type": ["string", "null"]},
-            },
-        }
+    job_id: str = _field(_NAME)
+    kind: str = _field({"enum": ["predict", "sweep"]})
+    state: str = _field(
+        {"enum": ["queued", "running", *_FINISHED]},
+        error="unknown job {violation}",
+    )
+    result: dict | None = _field({"type": ["object", "null"]}, None)
+    error: str | None = _field(_OPT_STRING, None)
 
 
 def sweep_result_dict(experiment: "ExperimentResult") -> dict:
@@ -678,95 +562,123 @@ def sweep_result_dict(experiment: "ExperimentResult") -> dict:
     }
 
 
+def runner_view(
+    runner: "Runner", scale: float, repetitions: int | None = None
+) -> "Runner":
+    """``runner`` re-targeted at one request's dataset scale and
+    repetition count (default: the runner's own).  The view keeps the
+    seed, jitter and shared trace cache, so the reference, batched and
+    served answers stay byte-identical."""
+    reps = runner.repetitions if repetitions is None else int(repetitions)
+    if float(scale) == float(runner.scale) and reps == runner.repetitions:
+        return runner
+    return dataclasses.replace(runner, scale=float(scale), repetitions=reps)
+
+
 class ApiService:
     """The in-process reference implementation of the
     ``submit()/result()`` surface.
 
-    One runner (with its trace cache) serves every request; jobs
-    complete *synchronously* inside :meth:`submit` — this is the
-    simplest implementation that honours the contract, and it is what
-    the CLI uses.  :class:`repro.serve.app.GraphbenchServer` implements
-    the same surface asynchronously with admission control, coalescing
-    and an answer cache.
+    One runner (with its trace cache) serves every request, and one
+    bounded, thread-safe job table records every job.  :meth:`submit`
+    completes jobs *synchronously* — the simplest implementation that
+    honours the contract.  :class:`repro.serve.app.GraphbenchServer`
+    answers asynchronously with admission control, coalescing and an
+    answer cache, and keeps its jobs here.
     """
+
+    #: finished jobs kept for :meth:`result`; queued and running jobs
+    #: are never evicted, so a long sweep stays visible under load
+    max_jobs = 1024
 
     def __init__(self, runner: "Runner | None" = None) -> None:
         from repro.core.runner import Runner
 
         self.runner = runner if runner is not None else Runner()
-        self._jobs: dict[str, JobStatus] = {}
-        self._next_id = itertools.count(1)
+        self._jobs: collections.OrderedDict[str, JobStatus] = (
+            collections.OrderedDict()
+        )
+        self._job_ids = itertools.count(1)
+        self._lock = threading.Lock()
 
     # -- synchronous convenience -------------------------------------------
     def predict(self, request: PredictRequest) -> PredictResponse:
-        """Answer one cell now (scale mismatches rebuild the runner's
-        dataset view through a per-request runner)."""
-        runner = self._runner_for(request.scale, request.repetitions)
+        """Answer one cell now (scale and repetition mismatches run on
+        a :func:`runner_view`)."""
+        runner = runner_view(self.runner, request.scale, request.repetitions)
         return PredictResponse.from_record(runner.run(request.to_run_spec()))
 
     def sweep(self, request: SweepRequest) -> "ExperimentResult":
         """Run one grid now, honouring the request's worker count."""
-        return self._runner_for(request.scale).run_grid(
+        return runner_view(self.runner, request.scale).run_grid(
             request.to_sweep_spec()
         )
 
-    def _runner_for(
-        self, scale: float, repetitions: int | None = None
-    ) -> "Runner":
-        """A runner view for one request — same seed, jitter and shared
-        trace cache, mirroring ``RequestBatcher._runner_for`` so the
-        reference answer and the served answer stay byte-identical."""
-        reps = (
-            int(self.runner.repetitions)
-            if repetitions is None
-            else int(repetitions)
-        )
-        if (
-            float(scale) == float(self.runner.scale)
-            and reps == int(self.runner.repetitions)
-        ):
-            return self.runner
-        from repro.core.runner import Runner
-
-        return Runner(
-            repetitions=reps,
-            jitter=self.runner.jitter,
-            seed=self.runner.seed,
-            scale=float(scale),
-            use_trace_cache=self.runner.use_trace_cache,
-            trace_cache=self.runner.trace_cache,
+    # -- the job table -----------------------------------------------------
+    def new_job(self, kind: str, state: str = "queued",
+                result: dict | None = None) -> JobStatus:
+        """Mint a job id and record the job in ``state``."""
+        with self._lock:
+            job_id = f"job-{next(self._job_ids)}"
+        return self.set_job(
+            JobStatus(job_id=job_id, kind=kind, state=state, result=result)
         )
 
-    # -- the job surface ---------------------------------------------------
-    def submit(self, request: PredictRequest | SweepRequest) -> str:
-        """Accept a request; returns its job id.  The reference
-        implementation completes the job before returning."""
-        job_id = f"job-{next(self._next_id)}"
-        if isinstance(request, PredictRequest):
-            kind = "predict"
-        elif isinstance(request, SweepRequest):
-            kind = "sweep"
-        else:
-            raise ApiError(
-                f"submit() takes a PredictRequest or SweepRequest, "
-                f"got {type(request).__name__}"
-            )
+    def set_job(self, status: JobStatus) -> JobStatus:
+        """Record ``status`` as its job's latest state, evicting the
+        oldest finished jobs past :attr:`max_jobs`."""
+        with self._lock:
+            self._jobs[status.job_id] = status
+            self._jobs.move_to_end(status.job_id)
+            excess = len(self._jobs) - self.max_jobs
+            if excess > 0:
+                finished = (
+                    job_id for job_id, job in self._jobs.items()
+                    if job.state in _FINISHED
+                )
+                for job_id in list(itertools.islice(finished, excess)):
+                    del self._jobs[job_id]
+        return status
+
+    def run_job(self, job_id: str,
+                request: PredictRequest | SweepRequest) -> JobStatus:
+        """Run a recorded job to completion: ``running``, then ``done``
+        with its result payload or ``failed`` with the error."""
+        kind = _job_kind(request)
+        self.set_job(JobStatus(job_id=job_id, kind=kind, state="running"))
         try:
             if kind == "predict":
                 payload = self.predict(request).to_dict()
             else:
                 payload = sweep_result_dict(self.sweep(request))
         except Exception as exc:  # noqa: BLE001 - contract: failed state
-            self._jobs[job_id] = JobStatus(
+            return self.set_job(JobStatus(
                 job_id=job_id, kind=kind, state="failed", error=str(exc)
-            )
-            return job_id
-        self._jobs[job_id] = JobStatus(
+            ))
+        return self.set_job(JobStatus(
             job_id=job_id, kind=kind, state="done", result=payload
-        )
+        ))
+
+    # -- the job surface ---------------------------------------------------
+    def submit(self, request: PredictRequest | SweepRequest) -> str:
+        """Accept a request; returns its job id.  The reference
+        implementation completes the job before returning."""
+        job_id = self.new_job(_job_kind(request)).job_id
+        self.run_job(job_id, request)
         return job_id
 
     def result(self, job_id: str) -> JobStatus:
         """The status of a submitted job; raises :class:`KeyError` for
         an unknown id."""
         return self._jobs[job_id]
+
+
+def _job_kind(request: object) -> str:
+    if isinstance(request, PredictRequest):
+        return "predict"
+    if isinstance(request, SweepRequest):
+        return "sweep"
+    raise ApiError(
+        f"submit() takes a PredictRequest or SweepRequest, "
+        f"got {type(request).__name__}"
+    )

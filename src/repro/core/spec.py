@@ -19,8 +19,7 @@ not picklable (no dispatch to worker processes), and not serializable
 
 ``Runner.run(spec)``, ``Runner.run_grid(sweep)``, the ``graphbench``
 CLI, and the parallel executor in :mod:`repro.core.sweep` all consume
-these objects; the legacy kwargs entry points survive as thin
-deprecation shims that build a spec and delegate.
+these objects.
 """
 
 from __future__ import annotations

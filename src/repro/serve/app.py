@@ -27,10 +27,8 @@ parser a dozen lines with no pipelining states to get wrong.
 from __future__ import annotations
 
 import asyncio
-import collections
 import concurrent.futures
-import itertools
-import json
+import dataclasses
 import time
 import typing as _t
 
@@ -38,10 +36,10 @@ from repro import obs
 from repro.api import (
     API_VERSION,
     ApiError,
-    JobStatus,
+    ApiService,
     PredictRequest,
     SweepRequest,
-    sweep_result_dict,
+    canonical_json,
 )
 from repro.serve.admission import AdmissionController
 from repro.serve.batching import RequestBatcher
@@ -126,10 +124,8 @@ class GraphbenchServer:
             max_pending=max_pending, deadline_seconds=deadline_seconds
         )
         self.events_path = events_path
-        self._jobs: collections.OrderedDict[str, JobStatus] = (
-            collections.OrderedDict()
-        )
-        self._job_ids = itertools.count(1)
+        # the job table and the sweep path of the in-process service
+        self.service = ApiService(self.runner)
         self._job_tasks: set[asyncio.Task] = set()
         self._server: asyncio.base_events.Server | None = None
         self._owns_obs = False
@@ -257,9 +253,7 @@ class GraphbenchServer:
             body = payload.encode()
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            body = json.dumps(
-                payload, sort_keys=True, separators=(",", ":")
-            ).encode()
+            body = canonical_json(payload).encode()
             content_type = "application/json"
         head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
         head.append(f"Content-Type: {content_type}")
@@ -288,9 +282,10 @@ class GraphbenchServer:
             return await self._sweep(body)
         if path.startswith("/v1/jobs/") and method == "GET":
             job_id = path.rsplit("/", 1)[1]
-            status = self._jobs.get(job_id)
-            if status is None:
-                raise _HttpError(404, f"unknown job {job_id!r}")
+            try:
+                status = self.service.result(job_id)
+            except KeyError:
+                raise _HttpError(404, f"unknown job {job_id!r}") from None
             return 200, status.to_dict(), ()
         raise _HttpError(404, f"no route for {method} {path}")
 
@@ -332,10 +327,10 @@ class GraphbenchServer:
             # mapped to statuses above — must return the slot, or the
             # gate leaks capacity until restart
             self.admission.release(time.monotonic() - started)
-        job_id = self._store_job("predict", result)
+        job = self.service.new_job("predict", "done", result)
         return 200, {
             "api_version": API_VERSION,
-            "job_id": job_id,
+            "job_id": job.job_id,
             "cached": cached,
             "result": result,
         }, ()
@@ -352,59 +347,31 @@ class GraphbenchServer:
                 429, "server at capacity",
                 (("Retry-After", str(self.admission.retry_after())),),
             )
-        job_id = f"job-{next(self._job_ids)}"
-        self._set_job(JobStatus(job_id=job_id, kind="sweep", state="queued"))
+        # a client may not fork more processes than this server's own
+        # pool; results are bit-identical at any worker count
+        request = dataclasses.replace(
+            request, workers=min(request.workers, self.batcher.workers)
+        )
+        job = self.service.new_job("sweep")
         task = asyncio.get_running_loop().create_task(
-            self._run_sweep_job(job_id, request)
+            self._run_sweep_job(job.job_id, request)
         )
         self._job_tasks.add(task)
         task.add_done_callback(self._job_tasks.discard)
-        return 202, self._jobs[job_id].to_dict(), ()
+        return 202, job.to_dict(), ()
 
     async def _run_sweep_job(
         self, job_id: str, request: SweepRequest
     ) -> None:
         started = time.monotonic()
-        self._set_job(
-            JobStatus(job_id=job_id, kind="sweep", state="running")
-        )
-        loop = asyncio.get_running_loop()
         try:
-            runner = self.batcher._runner_for(
-                request.scale, self.runner.repetitions
+            await asyncio.get_running_loop().run_in_executor(
+                self._sweep_executor, self.service.run_job, job_id, request
             )
-            experiment = await loop.run_in_executor(
-                self._sweep_executor,
-                lambda: runner.run_grid(
-                    request.to_sweep_spec(), workers=request.workers
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - contract: failed state
-            self._set_job(JobStatus(
-                job_id=job_id, kind="sweep", state="failed", error=str(exc)
-            ))
-        else:
-            self._set_job(JobStatus(
-                job_id=job_id, kind="sweep", state="done",
-                result=sweep_result_dict(experiment),
-            ))
         finally:
             self.admission.release(time.monotonic() - started)
 
     # -- helpers -----------------------------------------------------------
-    def _store_job(self, kind: str, result: dict) -> str:
-        job_id = f"job-{next(self._job_ids)}"
-        self._set_job(JobStatus(
-            job_id=job_id, kind=kind, state="done", result=result
-        ))
-        return job_id
-
-    def _set_job(self, status: JobStatus) -> None:
-        self._jobs[status.job_id] = status
-        self._jobs.move_to_end(status.job_id)
-        while len(self._jobs) > 1024:
-            self._jobs.popitem(last=False)
-
     def _health_payload(self) -> dict:
         return {
             "api_version": API_VERSION,

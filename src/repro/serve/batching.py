@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import dataclasses
 import time
 import typing as _t
 
 from repro import obs
-from repro.api import PredictRequest, PredictResponse
+from repro.api import PredictRequest, PredictResponse, runner_view
 from repro.core.sweep import run_specs
 from repro.serve.cache import AnswerCache
 
@@ -184,7 +183,7 @@ class RequestBatcher:
             ).append((index, request))
         out: list["RunRecord | None"] = [None] * len(requests)
         for (scale, repetitions), members in groups.items():
-            runner = self._runner_for(scale, repetitions)
+            runner = runner_view(self.runner, scale, repetitions)
             specs = [request.to_run_spec() for _, request in members]
             if len(specs) < 2 or self.workers == 1:
                 records = [runner.run(spec) for spec in specs]
@@ -197,18 +196,6 @@ class RequestBatcher:
             for (index, _), record in zip(members, records):
                 out[index] = record
         return _t.cast("list[RunRecord]", out)
-
-    def _runner_for(self, scale: float, repetitions: int) -> "Runner":
-        """A runner view for this group — same seed, jitter and (most
-        importantly) the same shared trace cache."""
-        if (
-            float(scale) == float(self.runner.scale)
-            and int(repetitions) == int(self.runner.repetitions)
-        ):
-            return self.runner
-        return dataclasses.replace(
-            self.runner, scale=float(scale), repetitions=int(repetitions)
-        )
 
     # -- accounting --------------------------------------------------------
     def coalescing_ratio(self) -> float:

@@ -10,6 +10,9 @@ tested here rather than asserted in prose:
   file under ``tests/goldens/api_v1/``; an accidental contract change
   fails the suite instead of shipping (regenerate deliberately with
   ``python -c`` + ``json.dumps(..., indent=2, sort_keys=True)``);
+* **contract agreement** — every constraint of every golden schema
+  (required, type, integer, enum, minimum, exclusiveMinimum, minItems,
+  non-object bodies) is rejected by ``from_dict`` and ``from_json``;
 * **equivalence** — ``PredictRequest.to_run_spec()`` produces the same
   cell a direct :class:`~repro.core.spec.RunSpec` would, so the
   service and the library answer the same question identically.
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +203,112 @@ def test_schema_is_closed_and_versioned(cls):
     assert schema["properties"]["api_version"] == {"const": API_VERSION}
 
 
+# -- contract agreement -----------------------------------------------------
+
+#: one payload per type that satisfies its golden schema
+VALID_PAYLOADS = {
+    "predict_request.json": (PredictRequest, {
+        "platform": "giraph", "algorithm": "bfs", "dataset": "amazon",
+    }),
+    "sweep_request.json": (SweepRequest, {
+        "platforms": ["giraph"], "algorithms": ["bfs"],
+        "datasets": ["amazon"],
+    }),
+    "predict_response.json": (PredictResponse, {
+        "api_version": 1, "platform": "giraph", "algorithm": "bfs",
+        "dataset": "amazon", "status": "ok",
+    }),
+    "job_status.json": (JobStatus, {
+        "api_version": 1, "job_id": "job-1", "kind": "predict",
+        "state": "done",
+    }),
+}
+
+#: one sample value per JSON type
+_SAMPLES = {
+    "string": "x", "integer": 7, "number": 2.5, "boolean": True,
+    "null": None, "array": ["x"], "object": {},
+}
+
+
+def _violations(schema: dict) -> list[tuple[str, object]]:
+    """(label, value) pairs, each breaking one keyword of ``schema``
+    under draft 2020-12 semantics."""
+    out: list[tuple[str, object]] = []
+    if "const" in schema:
+        out += [("const", schema["const"] + 1), ("const-bool", True)]
+    types = schema.get("type")
+    if types is not None:
+        names = [types] if isinstance(types, str) else types
+        admitted = set(names) | ({"integer"} if "number" in names else set())
+        out += [
+            (f"type-{kind}", value) for kind, value in _SAMPLES.items()
+            if kind not in admitted
+        ]
+        if "integer" in names and "number" not in names:
+            out.append(("integer", 1.7))
+    if "enum" in schema:
+        out.append(("enum", "not-a-member"))
+    if "minimum" in schema:
+        out.append(("minimum", schema["minimum"] - 1))
+    if "exclusiveMinimum" in schema:
+        bound = schema["exclusiveMinimum"]
+        out += [
+            ("exclusiveMinimum-equal", bound),
+            ("exclusiveMinimum-below", bound - 1),
+            ("exclusiveMinimum-nan", float("nan")),
+        ]
+    if "minItems" in schema:
+        out.append(("minItems", []))
+    if "items" in schema:
+        out += [
+            (f"items-{label}", [value])
+            for label, value in _violations(schema["items"])
+        ]
+    entries = schema.get("additionalProperties")
+    if isinstance(entries, dict):
+        out += [
+            (f"values-{label}", {"k": value})
+            for label, value in _violations(entries)
+        ]
+    return out
+
+
+def _contract_cases():
+    for golden, (cls, valid) in VALID_PAYLOADS.items():
+        schema = json.loads((GOLDEN_DIR / golden).read_text())
+        for field in schema["required"]:
+            payload = {k: v for k, v in valid.items() if k != field}
+            yield pytest.param(cls, payload, id=f"{golden}-{field}-required")
+        for field, fragment in schema["properties"].items():
+            for label, value in _violations(fragment):
+                yield pytest.param(
+                    cls, dict(valid, **{field: value}),
+                    id=f"{golden}-{field}-{label}",
+                )
+        for body in ([], "x", 1, None):
+            yield pytest.param(
+                cls, body, id=f"{golden}-body-{type(body).__name__}"
+            )
+
+
+@pytest.mark.parametrize("golden", sorted(VALID_PAYLOADS))
+def test_valid_payloads_decode(golden):
+    cls, payload = VALID_PAYLOADS[golden]
+    assert cls.from_json(json.dumps(payload)) == cls.from_dict(payload)
+
+
+@pytest.mark.parametrize("cls, payload", list(_contract_cases()))
+def test_decoders_reject_every_schema_violation(cls, payload):
+    """The decoders accept exactly what the published schema admits:
+    each payload breaks one constraint and must be an ApiError (the
+    server's 400), never an accepted value or another exception."""
+    with pytest.raises(ApiError):
+        cls.from_dict(payload)
+    with pytest.raises(ApiError):
+        cls.from_json(json.dumps(payload))
+
+
 # -- validation errors ------------------------------------------------------
 
 
@@ -370,6 +481,42 @@ class TestApiService:
         status = service.result(job_id)
         assert status.state == "failed"
         assert status.error
+
+    def test_job_table_is_thread_safe_and_keeps_unfinished_jobs(self):
+        """The server writes the table from its event loop and its sweep
+        thread at once; no id may repeat, no write may be lost, and
+        eviction past ``max_jobs`` must skip unfinished jobs."""
+        service = ApiService(Runner())
+        service.max_jobs = 64
+        running = [service.new_job("sweep", "running") for _ in range(4)]
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(500):
+                    service.new_job("predict", "done", {})
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(service._jobs) == service.max_jobs
+        for job in running:
+            assert service.result(job.job_id).state == "running"
+        # 4 + 4 * 500 ids were minted, each once: the last is the newest
+        assert service.result("job-2004").state == "done"
+        with pytest.raises(KeyError):
+            service.result("job-2005")
 
     def test_unknown_job_raises(self, service):
         with pytest.raises(KeyError):

@@ -21,15 +21,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.api import PredictRequest, PredictResponse, canonical_json
+from repro.core.results import ExperimentResult
 from repro.core.runner import Runner
 from repro.serve import GraphbenchServer
 from tests.test_obs import _validate_prometheus
 
 CELL = {"platform": "neo4j", "algorithm": "bfs", "dataset": "amazon"}
+SWEEP = {
+    "platforms": ["giraph", "neo4j"],
+    "algorithms": ["bfs"],
+    "datasets": ["amazon"],
+    "name": "serve-sweep",
+}
 
 
 async def _request(
@@ -78,6 +86,20 @@ def _with_server(scenario, **server_kw):
             await server.aclose()
 
     return asyncio.run(main())
+
+
+async def _sweep_job(port: int, payload: dict) -> dict:
+    """Submit a sweep and poll its job until it finishes."""
+    status, _, body = await _request(port, "POST", "/v1/sweep", payload)
+    assert status == 202
+    job_id = json.loads(body)["job_id"]
+    for _ in range(200):
+        _, _, job_body = await _request(port, "GET", f"/v1/jobs/{job_id}")
+        job = json.loads(job_body)
+        if job["state"] in ("done", "failed"):
+            return job
+        await asyncio.sleep(0.05)
+    raise AssertionError("sweep job never completed")
 
 
 class TestPredictByteIdentity:
@@ -173,28 +195,8 @@ class TestCoalescing:
 
 class TestSweepJobs:
     def test_sweep_runs_as_background_job(self):
-        payload = {
-            "platforms": ["giraph", "neo4j"],
-            "algorithms": ["bfs"],
-            "datasets": ["amazon"],
-            "name": "serve-sweep",
-        }
-
         async def scenario(server):
-            status, _, body = await _request(
-                server.port, "POST", "/v1/sweep", payload
-            )
-            assert status == 202
-            job_id = json.loads(body)["job_id"]
-            for _ in range(200):
-                _, _, job_body = await _request(
-                    server.port, "GET", f"/v1/jobs/{job_id}"
-                )
-                job = json.loads(job_body)
-                if job["state"] in ("done", "failed"):
-                    return job
-                await asyncio.sleep(0.05)
-            raise AssertionError("sweep job never completed")
+            return await _sweep_job(server.port, SWEEP)
 
         job = _with_server(scenario)
         assert job["state"] == "done"
@@ -204,6 +206,58 @@ class TestSweepJobs:
         assert {c["platform"] for c in job["result"]["cells"]} == {
             "giraph", "neo4j",
         }
+
+    def test_client_workers_are_capped_at_the_server_pool(
+        self, monkeypatch
+    ):
+        """A client-set ``workers`` must not fork past the server's own
+        pool; the grid is recorded, never run, so nothing forks."""
+        seen = []
+
+        def recording_grid(runner, sweep, *, workers=None):
+            seen.append(sweep.workers if workers is None else workers)
+            return ExperimentResult(sweep.name)
+
+        monkeypatch.setattr(Runner, "run_grid", recording_grid)
+
+        async def scenario(server):
+            return await _sweep_job(server.port, dict(SWEEP, workers=64))
+
+        job = _with_server(scenario, workers=2)
+        assert job["state"] == "done"
+        assert seen == [2]
+
+    def test_running_sweep_survives_predict_traffic(self, monkeypatch):
+        """Every predict records a finished job; once they overflow the
+        bounded table, a sweep still running must stay visible."""
+        release = threading.Event()
+
+        def blocked_grid(runner, sweep, *, workers=None):
+            release.wait(timeout=30)
+            return ExperimentResult(sweep.name)
+
+        monkeypatch.setattr(Runner, "run_grid", blocked_grid)
+
+        async def scenario(server):
+            service = server.service
+            try:
+                _, _, body = await _request(
+                    server.port, "POST", "/v1/sweep", SWEEP
+                )
+                job_id = json.loads(body)["job_id"]
+                for _ in range(service.max_jobs + 10):
+                    service.new_job("predict", "done", {})
+                during = await _request(
+                    server.port, "GET", f"/v1/jobs/{job_id}"
+                )
+            finally:
+                release.set()
+            return during, len(service._jobs), service.max_jobs
+
+        (status, _, body), size, limit = _with_server(scenario)
+        assert status == 200
+        assert json.loads(body)["state"] in ("queued", "running")
+        assert size == limit
 
 
 class TestHealthAndMetrics:

@@ -137,34 +137,6 @@ class TestCellSeed:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("platform", PLATFORM_NAMES)
-    @pytest.mark.parametrize("algorithm", ["bfs", "conn"])
-    def test_run_cell_shim_matches_spec_path(self, platform, algorithm):
-        shim_runner = Runner(jitter=0.02, repetitions=2)
-        spec_runner = Runner(jitter=0.02, repetitions=2)
-        with pytest.warns(DeprecationWarning):
-            via_shim = shim_runner.run_cell(platform, algorithm, "wikitalk")
-        via_spec = spec_runner.run(RunSpec(platform, algorithm, "wikitalk"))
-        assert records_equal(via_shim, via_spec)
-
-    def test_legacy_run_grid_matches_sweepspec(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = Runner().run_grid(
-                "test:legacy",
-                platforms=list(GRID.platforms),
-                algorithms=list(GRID.algorithms),
-                datasets=list(GRID.datasets),
-            )
-        modern = Runner().run_grid(GRID)
-        assert len(legacy) == len(modern)
-        for a, b in zip(legacy, modern):
-            assert records_equal(a, b)
-
-    def test_legacy_run_grid_requires_full_grid(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                Runner().run_grid("test:partial", platforms=["giraph"])
-
     def test_sweepspec_rejects_extra_grid_kwargs(self):
         with pytest.raises(TypeError):
             Runner().run_grid(GRID, platforms=["giraph"])
